@@ -9,9 +9,10 @@ The calendar suite (``test_calendar_*``) drives the shared
 over a large standing backlog — through all three engines (wheel, heap,
 and the preserved pre-overhaul legacy loop), then
 ``test_core_baseline_emission`` writes the measured events/sec plus a
-machine-normalisation spin score to ``results/BENCH_core.json``. The
-committed copy at ``benchmarks/BENCH_core.json`` is the baseline the CI
-perf smoke (``benchmarks/perf_smoke.py``) guards against.
+machine-normalisation spin score to ``results/BENCH_core.json``, an
+uncommitted output. The committed copy at ``benchmarks/BENCH_core.json``
+is the baseline the CI perf smoke (``benchmarks/perf_smoke.py``) guards
+against.
 """
 
 import gc

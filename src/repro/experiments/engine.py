@@ -27,6 +27,7 @@ on every backend and from the cache
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -217,11 +218,9 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     def run_many(self, specs: Iterable[RunSpec]) -> list[RunArtifact]:
         """Execute run specs (cached, possibly parallel), in order."""
-        from repro.experiments.runner import execute_spec
-
         specs = list(specs)
         artifacts = self.run_tasks(
-            execute_spec,
+            _execute_and_reclaim,
             specs,
             keys=[s.digest() for s in specs],
             labels=[s.label for s in specs],
@@ -237,6 +236,21 @@ class ExperimentEngine:
     def run(self, spec: RunSpec) -> RunArtifact:
         """Execute one run spec (cached)."""
         return self.run_many([spec])[0]
+
+
+def _execute_and_reclaim(spec: RunSpec) -> RunArtifact:
+    """Execute one spec, then reclaim its simulation stack.
+
+    The simulator, servers, monitors and request logs of a finished run
+    form reference cycles; only a full collection frees them. Collecting
+    here, at the run boundary, keeps that pause (and the memory) out of
+    whatever the caller does next.
+    """
+    from repro.experiments.runner import execute_spec
+
+    artifact = execute_spec(spec)
+    gc.collect()
+    return artifact
 
 
 def inline_engine(engine: ExperimentEngine | None) -> ExperimentEngine:

@@ -65,6 +65,10 @@ class IntervalMonitor:
         self.server = server
         self.interval = float(interval)
         self.samples: deque[IntervalSample] = deque(maxlen=history)
+        # Samples ever appended. Consumers of ``samples`` that evict
+        # incrementally (repro.sct.grouping.BandWindow) number sample
+        # ``i`` of the deque ``appended - len(samples) + i``.
+        self.appended = 0
         self._prev_conc = server.concurrency_integral
         self._prev_completions = server.completions
         self._prev_latency = server.latency_total
@@ -121,6 +125,7 @@ class IntervalMonitor:
             utilization=util,
         )
         self.samples.append(sample)
+        self.appended += 1
         self._roll_forward(now)
 
     def _roll_forward(self, now: float) -> None:
@@ -133,9 +138,20 @@ class IntervalMonitor:
 
     # ------------------------------------------------------------------
     def recent(self, window: float) -> list[IntervalSample]:
-        """Samples whose interval ended within the last ``window`` seconds."""
+        """Samples whose interval ended within the last ``window`` seconds.
+
+        Scans back from the newest sample only as far as the cutoff
+        (samples are appended in time order), so the cost tracks the
+        window, not the run length of an unbounded history.
+        """
         cutoff = self.sim.now - window
-        return [s for s in self.samples if s.t_end >= cutoff]
+        out: list[IntervalSample] = []
+        for s in reversed(self.samples):
+            if s.t_end < cutoff:
+                break
+            out.append(s)
+        out.reverse()
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

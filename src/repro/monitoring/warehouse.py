@@ -25,6 +25,7 @@ from repro.control.events import TelemetryEvent
 from repro.errors import MonitoringError
 from repro.monitoring.interval import IntervalMonitor, IntervalSample
 from repro.ntier.server import Server
+from repro.sct.grouping import BandWindow
 from repro.sim.engine import PRIORITY_SAMPLER, PRIORITY_WAREHOUSE, Simulator
 from repro.sim.process import PeriodicProcess
 
@@ -53,11 +54,14 @@ class _VmState:
     copy per server per second.
     """
 
-    __slots__ = ("server", "fine", "cpu_name")
+    __slots__ = ("server", "fine", "cpu_name", "bands")
 
     def __init__(self, server: Server, fine: IntervalMonitor) -> None:
         self.server = server
         self.fine = fine
+        # Band indexes over the fine samples, keyed by (window, band
+        # width); each catches up with ``fine`` when it is read.
+        self.bands: dict[tuple[float, int | None], BandWindow] = {}
         # The primary resource whose busy integral feeds the 1 s cpu
         # signal; pinned at registration (see the guard in _collect).
         self.cpu_name = server.capacity.resources[0].name
@@ -336,14 +340,41 @@ class MetricWarehouse:
             raise MonitoringError(f"server {server_name!r} is not monitored")
         return state.fine.recent(window)
 
+    def fine_bands(
+        self, server_name: str, window: float, width: int | None = None
+    ) -> BandWindow:
+        """One server's fine tuples over the window, already banded.
+
+        The SCT estimator's pull path: the returned index is kept per
+        server and per ``(window, width)`` and only catches up with the
+        samples appended or evicted since the previous read — including
+        the evictions of :meth:`reset_fine_history` and
+        :meth:`trim_fine_history`.
+        """
+        state = self._states.get(server_name)
+        if state is None:
+            raise MonitoringError(f"server {server_name!r} is not monitored")
+        bands = state.bands.get((window, width))
+        if bands is None:
+            bands = state.bands[(window, width)] = BandWindow(width)
+        fine = state.fine
+        bands.sync(fine.samples, fine.appended, self.sim.now - window)
+        return bands
+
+    def tier_servers(self, tier: str) -> list[str]:
+        """Names of the monitored servers of a tier, sorted."""
+        return [
+            name for name in sorted(self._states)
+            if self._states[name].server.tier == tier
+        ]
+
     def fine_samples_for_tier(
         self, tier: str, window: float
     ) -> dict[str, list[IntervalSample]]:
         """Fine-grained tuples of every monitored server in a tier."""
         return {
             name: self._states[name].fine.recent(window)
-            for name in sorted(self._states)
-            if self._states[name].server.tier == tier
+            for name in self.tier_servers(tier)
         }
 
     def all_fine_samples(

@@ -117,7 +117,9 @@ class CapacityModel:
     the single calibration point for every experiment.
     """
 
-    __slots__ = ("resources", "contention", "_a_sat", "_critical")
+    __slots__ = (
+        "resources", "contention", "_a_sat", "_critical", "_rates", "_utils",
+    )
 
     def __init__(
         self,
@@ -134,6 +136,32 @@ class CapacityModel:
         critical = min(self.resources, key=lambda r: r.saturation_concurrency)
         self._critical = critical
         self._a_sat = critical.saturation_concurrency
+        self._init_tables()
+
+    def _init_tables(self) -> None:
+        # Memo tables of the pure functions work_rate and utilization,
+        # filled on demand for exact-int occupancies only (a PS server's
+        # counters). Float occupancies — the fluid integrator's shares —
+        # bypass them: np.float64(3.0) == 3 would otherwise hit the
+        # int's entry, and a float-keyed entry could hand a numpy
+        # scalar back to an int caller. A capacity change installs a
+        # new model, so the tables never need invalidating.
+        self._rates: dict[tuple[int, int], float] = {}
+        self._utils: dict[tuple[str, int], float] = {}
+
+    def __getstate__(self):
+        # The tables are caches: pickle only the defining state.
+        return None, {
+            "resources": self.resources,
+            "contention": self.contention,
+            "_a_sat": self._a_sat,
+            "_critical": self._critical,
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._init_tables()
 
     def canonical_key(self):
         """Identity for content digesting (see repro.experiments.artifact).
@@ -164,6 +192,15 @@ class CapacityModel:
         ``admitted`` is the number of threads held (computing + blocked
         on downstream tiers) and drives the overhead penalty.
         """
+        if type(active) is int and type(admitted) is int:
+            key = (active, admitted)
+            rate = self._rates.get(key)
+            if rate is None:
+                rate = self._rates[key] = self._work_rate(active, admitted)
+            return rate
+        return self._work_rate(active, admitted)
+
+    def _work_rate(self, active: float, admitted: float) -> float:
         if active <= 0:
             return 0.0
         base = active if active < self._a_sat else self._a_sat
@@ -206,6 +243,15 @@ class CapacityModel:
         problem is the concurrency setting (the paper's Fig. 10 story).
         Use :meth:`efficiency` for the useful-work share.
         """
+        if type(active) is int and type(admitted) is int:
+            key = (resource_name, active)
+            util = self._utils.get(key)
+            if util is None:
+                util = self._utils[key] = self._utilization(resource_name, active)
+            return util
+        return self._utilization(resource_name, active)
+
+    def _utilization(self, resource_name: str, active: float) -> float:
         res = self._resource(resource_name)
         if active <= 0:
             return 0.0

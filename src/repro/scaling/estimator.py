@@ -97,13 +97,22 @@ class OptimalConcurrencyEstimator:
         Returns None when no server of the tier yields an estimate —
         the controller then keeps the current allocation.
         """
-        fine = self.warehouse.fine_samples_for_tier(tier, self.window)
+        warehouse = self.warehouse
+        model = self.model
         per_server: dict[str, SCTEstimate] = {}
-        for name, samples in fine.items():
-            if self.drift_check and len(samples) >= self.drift_min_samples:
-                samples = self._drop_pre_drift(name, samples)
+        newest = float("-inf")
+        for name in warehouse.tier_servers(tier):
+            bands = warehouse.fine_bands(name, self.window, model.bucket_width)
+            newest = max(newest, bands.newest)
+            if self.drift_check and len(bands) >= self.drift_min_samples:
+                if self._drop_pre_drift(name):
+                    bands = warehouse.fine_bands(
+                        name, self.window, model.bucket_width
+                    )
             try:
-                per_server[name] = self.model.estimate_from_samples(samples)
+                per_server[name] = model.estimate_buckets(
+                    bands.buckets(model.min_samples), bands.n_tuples
+                )
             except EstimationError:
                 continue
         if not per_server:
@@ -119,10 +128,6 @@ class OptimalConcurrencyEstimator:
         basis = actionable or per_server
         optima = [e.optimal for e in basis.values()]
         uppers = [e.q_upper for e in basis.values()]
-        newest = max(
-            (samples[-1].t_end for samples in fine.values() if samples),
-            default=float("-inf"),
-        )
         stale = (self.warehouse.sim.now - newest) > self.stale_after
         estimate = TierEstimate(
             tier=tier,
@@ -139,22 +144,25 @@ class OptimalConcurrencyEstimator:
         self._history.setdefault(tier, []).append(estimate)
         return estimate
 
-    def _drop_pre_drift(self, name: str, samples: list) -> list:
-        """Trim the pre-shift half of a drifted window (see drift_check)."""
+    def _drop_pre_drift(self, name: str) -> bool:
+        """Trim the pre-shift half of a drifted window (see drift_check).
+
+        Returns True when the warehouse history was trimmed.
+        """
         from repro.sct.drift import detect_drift
         from repro.sct.tuples import tuples_from_samples
 
+        samples = self.warehouse.fine_samples(name, self.window)
         mid = len(samples) // 2
         report = detect_drift(
             tuples_from_samples(samples[:mid]),
             tuples_from_samples(samples[mid:]),
         )
         if not report.drifted:
-            return samples
+            return False
         self.drift_events += 1
-        cutoff = samples[mid].t_end
-        self.warehouse.trim_fine_history(name, keep_after=cutoff)
-        return samples[mid:]
+        self.warehouse.trim_fine_history(name, keep_after=samples[mid].t_end)
+        return True
 
     def last(self, tier: str) -> TierEstimate | None:
         """Latest cached estimate for a tier (the Historical Result)."""

@@ -19,14 +19,15 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import EstimationError
 from repro.monitoring.interval import IntervalSample
-from repro.sct.grouping import ConcurrencyBucket, bucketize
-from repro.sct.intervention import plateau_pvalues
-from repro.sct.tuples import MetricTuple, tuples_from_samples
+from repro.sct.grouping import BandWindow, ConcurrencyBucket, bucketize
+from repro.sct.intervention import welch_t_pvalue
+from repro.sct.tuples import MetricTuple
 
 __all__ = ["SCTEstimate", "SCTModel"]
 
@@ -144,28 +145,47 @@ class SCTModel:
 
     # ------------------------------------------------------------------
     def estimate_from_samples(self, samples: Iterable[IntervalSample]) -> SCTEstimate:
-        """Estimate from raw monitoring samples (the online path)."""
-        return self.estimate(tuples_from_samples(samples))
+        """Estimate from raw monitoring samples, banded as the online
+        estimator bands them (one :class:`BandWindow` pass)."""
+        samples = list(samples)
+        window = BandWindow(self.bucket_width)
+        window.sync(samples, appended=len(samples), cutoff=-math.inf)
+        return self.estimate_buckets(
+            window.buckets(self.min_samples), window.n_tuples
+        )
 
     def estimate(self, tuples: list[MetricTuple]) -> SCTEstimate:
-        """Estimate the rational concurrency range from metric tuples.
+        """Estimate the rational concurrency range from metric tuples."""
+        return self.estimate_buckets(
+            bucketize(tuples, self.min_samples, self.bucket_width), len(tuples)
+        )
+
+    def estimate_buckets(
+        self, buckets: dict[int, ConcurrencyBucket], n_tuples: int
+    ) -> SCTEstimate:
+        """Estimate from already-grouped observations.
+
+        ``buckets`` is what :func:`~repro.sct.grouping.bucketize` (or a
+        :class:`~repro.sct.grouping.BandWindow`) returns for this
+        model's ``min_samples`` and ``bucket_width``; ``n_tuples`` is
+        the number of non-idle tuples they were grouped from.
 
         Raises :class:`EstimationError` when the window does not contain
         enough distinct concurrency levels — the caller (the ConScale
         estimator loop) treats that as "keep the current setting".
         """
-        buckets = bucketize(tuples, self.min_samples, self.bucket_width)
         if len(buckets) < self.min_buckets:
             raise EstimationError(
                 f"need >= {self.min_buckets} concurrency levels with >= "
                 f"{self.min_samples} samples, got {len(buckets)}"
             )
         qs = sorted(buckets)
-        peak_q = max(qs, key=lambda q: buckets[q].mean_tp)
-        tp_max = buckets[peak_q].mean_tp
+        means = {q: buckets[q].mean_tp for q in qs}
+        peak_q = max(qs, key=means.__getitem__)
+        tp_max = means[peak_q]
         if tp_max <= 0.0:
             raise EstimationError("window contains no completed requests")
-        pvals = plateau_pvalues(buckets, peak_q)
+        peak = buckets[peak_q].tp_array()
 
         def on_plateau(q: int) -> bool:
             # Primary criterion: within the tolerance band of the peak.
@@ -174,13 +194,14 @@ class SCTModel:
             # within a bounded band (3x tolerance): with small per-
             # bucket samples the test has low power, and an unbounded
             # "cannot reject" rule would stretch the plateau over
-            # arbitrarily bad buckets.
-            mean = buckets[q].mean_tp
+            # arbitrarily bad buckets. The test runs only for the
+            # buckets that reach it.
+            mean = means[q]
             if mean >= (1.0 - self.tolerance) * tp_max:
                 return True
             return (
                 mean >= (1.0 - 3.0 * self.tolerance) * tp_max
-                and pvals[q] >= self.alpha
+                and welch_t_pvalue(buckets[q].tp_array(), peak) >= self.alpha
             )
 
         peak_idx = qs.index(peak_q)
@@ -225,6 +246,6 @@ class SCTModel:
             plateau_util=plateau_util,
             hardware_limited=plateau_util >= self.util_threshold,
             sla_met=sla_met,
-            n_tuples=len(tuples),
+            n_tuples=n_tuples,
             buckets=buckets,
         )

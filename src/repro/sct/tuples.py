@@ -15,7 +15,7 @@ from typing import Iterable
 
 from repro.monitoring.interval import IntervalSample
 
-__all__ = ["MetricTuple", "tuples_from_samples"]
+__all__ = ["MetricTuple", "tuple_fields", "tuples_from_samples"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,19 +36,27 @@ class MetricTuple:
     util: float = 1.0
 
 
-def tuples_from_samples(samples: Iterable[IntervalSample]) -> list[MetricTuple]:
-    """Convert monitoring samples to SCT tuples, dropping idle intervals.
+def tuple_fields(s: IntervalSample) -> tuple[float, float, float, float] | None:
+    """One sample's ``(q, tp, rt, util)``, or None for an idle interval.
 
     An interval is *idle* when the time-weighted concurrency is
     (numerically) zero; intervals with concurrency but zero completions
     are kept — they are genuine evidence of a stalled/overloaded server
     and contribute TP = 0 observations to their concurrency bucket.
     """
+    if s.concurrency <= 1e-9:
+        return None
+    rt = s.response_time if not math.isnan(s.response_time) else math.nan
+    util = max(s.utilization.values()) if s.utilization else 1.0
+    return s.concurrency, s.throughput, rt, util
+
+
+def tuples_from_samples(samples: Iterable[IntervalSample]) -> list[MetricTuple]:
+    """Convert monitoring samples to SCT tuples, dropping idle intervals
+    (see :func:`tuple_fields`)."""
     out: list[MetricTuple] = []
     for s in samples:
-        if s.concurrency <= 1e-9:
-            continue
-        rt = s.response_time if not math.isnan(s.response_time) else math.nan
-        util = max(s.utilization.values()) if s.utilization else 1.0
-        out.append(MetricTuple(q=s.concurrency, tp=s.throughput, rt=rt, util=util))
+        fields = tuple_fields(s)
+        if fields is not None:
+            out.append(MetricTuple(*fields))
     return out

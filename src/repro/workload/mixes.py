@@ -13,6 +13,9 @@ The paper's two workload modes map onto the catalog as:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -53,12 +56,24 @@ class WorkloadMix:
         unknown = sorted(set(weights) - set(catalog))
         if unknown:
             raise ConfigurationError(f"unknown interactions in mix: {unknown}")
+        if not all(math.isfinite(w) and w >= 0 for w in weights.values()):
+            # rng.choice used to reject these on the first draw; the
+            # cached CDF below would silently misdraw instead.
+            raise ConfigurationError(
+                f"mix weights must be finite and non-negative, got {weights!r}"
+            )
         total = float(sum(weights.values()))
         if total <= 0:
             raise ConfigurationError("mix weights must sum to a positive value")
         self.name = name
         self._names: list[str] = sorted(weights)
         self._probs = np.array([weights[n] / total for n in self._names])
+        # The CDF numpy's Generator.choice builds from ``p`` on every
+        # call, built once: bisecting it with one rng.random() draw
+        # picks the same index and leaves the same stream state.
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
         self._interactions: dict[str, Interaction] = {
             n: catalog[n] for n in self._names
         }
@@ -110,9 +125,8 @@ class WorkloadMix:
         )
 
     def sample_interaction(self, rng: np.random.Generator) -> str:
-        """Draw one interaction name."""
-        idx = rng.choice(len(self._names), p=self._probs)
-        return self._names[int(idx)]
+        """Draw one interaction name (``rng.choice(n, p=...)``, exactly)."""
+        return self._names[bisect_right(self._cdf, rng.random())]
 
     def sample_interactions(self, rng: np.random.Generator, size: int) -> list[str]:
         """Draw ``size`` interaction names in one vectorized call.

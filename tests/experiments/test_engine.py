@@ -11,6 +11,7 @@ experiment finishes in well under a second.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 
@@ -339,6 +340,29 @@ def test_result_summary_excludes_noops(ec2_artifact):
     assert summary["noop_ticks"] == len(ec2_artifact.actions.noops())
     assert all(a["kind"] != "noop" for a in summary["actions"])
     assert all("reason" in a and "source" in a for a in summary["actions"])
+
+
+def test_run_reclaims_the_simulation_stack():
+    """A finished spec's stack (simulator, servers, monitors, request
+    logs) is cyclic garbage; the engine collects it at the run boundary
+    instead of leaving it to whichever later allocation triggers the
+    next full collection."""
+    from repro.monitoring.interval import IntervalMonitor
+
+    def monitors() -> list[IntervalMonitor]:
+        return [o for o in gc.get_objects() if isinstance(o, IntervalMonitor)]
+
+    gc.collect()
+    before = {id(m) for m in monitors()}
+    gc.disable()  # only the engine's own collection may free the stack
+    try:
+        ExperimentEngine(jobs=1, use_cache=False).run(
+            RunSpec("conscale", small_config())
+        )
+        leaked = [m for m in monitors() if id(m) not in before]
+    finally:
+        gc.enable()
+    assert leaked == []
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,11 @@ def test_recent_window():
     recent = mon.recent(0.35)
     assert len(recent) == 3
     assert all(s.t_end >= 0.7 for s in recent)
+    # the backward scan returns exactly the forward filter, in order
+    for window in (0.0, 0.1, 0.35, 0.99, 1.05, 50.0):
+        cutoff = sim.now - window
+        assert mon.recent(window) == [s for s in mon.samples if s.t_end >= cutoff]
+    assert mon.appended == len(mon.samples) == 10
 
 
 def test_stop_halts_sampling():

@@ -167,3 +167,84 @@ def test_scaled_cores_unknown_name_keeps_resources():
     m2 = m.scaled_cores("disk", 2.0)
     assert m2.critical_resource.name == "disk"
     assert m2.saturation_concurrency == pytest.approx(4.0)
+
+
+# ----------------------------------------------------------------------
+# USL memo tables
+# ----------------------------------------------------------------------
+
+def _formula_rate(cap: CapacityModel, active, admitted):
+    if active <= 0:
+        return 0.0
+    base = active if active < cap.saturation_concurrency else cap.saturation_concurrency
+    return base * cap.contention.penalty(max(admitted, active))
+
+
+def _formula_util(cap: CapacityModel, name: str, active):
+    res = cap.resource(name)
+    if active <= 0:
+        return 0.0
+    return min(active * res.fraction, res.units) / res.units
+
+
+def _usl_model() -> CapacityModel:
+    return CapacityModel(
+        [Resource("cpu", 2.0, 0.15), Resource("disk", 1.0, 0.04)],
+        ContentionModel(sigma=0.01, kappa=0.002),
+    )
+
+
+def test_usl_tables_equal_formula_over_int_grid():
+    cap = _usl_model()
+    for _ in range(2):  # first pass fills the tables, second reads them
+        for active in range(0, 60):
+            for admitted in range(0, 80):
+                rate = cap.work_rate(active, admitted)
+                assert type(rate) is float
+                assert rate == _formula_rate(cap, active, admitted)
+                for name in ("cpu", "disk"):
+                    util = cap.utilization(name, active, admitted)
+                    assert type(util) is float
+                    assert util == _formula_util(cap, name, active)
+
+
+def test_float_occupancies_bypass_the_tables():
+    """np.float64(3.0) == 3 and hashes alike: a float lookup must neither
+    hit the int entry nor plant a numpy scalar for later int callers."""
+    import numpy as np
+
+    cap = _usl_model()
+    cases = [(np.float64(3.0), np.float64(5.0)), (2.5, 4.0), (3.0, 5.0)]
+    for active, admitted in cases:
+        want_rate = _formula_rate(cap, active, admitted)
+        want_util = _formula_util(cap, "cpu", active)
+        before_rate = cap.work_rate(active, admitted)
+        before_util = cap.utilization("cpu", active, admitted)
+        assert cap.work_rate(3, 5) == _formula_rate(cap, 3, 5)  # fill int entry
+        cap.utilization("cpu", 3, 5)
+        for rate in (before_rate, cap.work_rate(active, admitted)):
+            assert type(rate) is type(want_rate) and rate == want_rate
+        for util in (before_util, cap.utilization("cpu", active, admitted)):
+            assert type(util) is type(want_util) and util == want_util
+    assert type(cap.work_rate(3, 5)) is float
+    assert type(cap.utilization("cpu", 3, 5)) is float
+    assert type(cap.work_rate(True, 5)) is type(_formula_rate(cap, True, 5))
+
+
+def test_usl_tables_stay_out_of_identity_and_pickles():
+    import pickle
+
+    from repro.experiments.artifact import content_digest
+
+    fresh = _usl_model()
+    used = _usl_model()
+    used.work_rate(4, 7)
+    used.utilization("disk", 4, 7)
+    assert content_digest(used) == content_digest(fresh)
+    blob = pickle.dumps(used, pickle.HIGHEST_PROTOCOL)
+    assert blob == pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL)
+    restored = pickle.loads(blob)
+    assert content_digest(restored) == content_digest(fresh)
+    assert restored.work_rate(4, 7) == used.work_rate(4, 7)
+    with pytest.raises(CapacityModelError):
+        restored.utilization("gpu", 1, 1)

@@ -44,6 +44,9 @@ def test_mix_validation():
         WorkloadMix("bad", {"NoSuchServlet": 1.0}, BASE)
     with pytest.raises(ConfigurationError):
         WorkloadMix("zero", {"ViewStory": 0.0}, BASE)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            WorkloadMix("bad", {"ViewStory": 2.0, "SearchInStories": bad}, BASE)
 
 
 def test_sampling_follows_weights():
@@ -78,3 +81,25 @@ def test_profile_access():
 def test_interactions_sorted():
     mix = browse_only_mix(BASE)
     assert mix.interactions == sorted(mix.interactions)
+
+
+@pytest.mark.parametrize("factory", [browse_only_mix, read_write_mix])
+def test_cached_cdf_draws_match_rng_choice(factory):
+    """Bisecting the cached CDF is numpy's own choice(p=...) algorithm:
+    the same interaction on every draw and the same stream afterwards."""
+    mix = factory(BASE)
+    names = mix.interactions
+    probs = mix._probs
+    fast = np.random.default_rng(2024)
+    reference = np.random.default_rng(2024)
+    # per-call choice, as the draws were made before
+    for _ in range(2_000):
+        got = mix.sample_interaction(fast)
+        assert got == names[int(reference.choice(len(names), p=probs))]
+    assert fast.bit_generator.state == reference.bit_generator.state
+    # one vectorised choice consumes the stream exactly as n scalar calls
+    n = 200_000
+    got = [mix.sample_interaction(fast) for _ in range(n)]
+    want = [names[i] for i in reference.choice(len(names), size=n, p=probs)]
+    assert got == want
+    assert fast.bit_generator.state == reference.bit_generator.state
