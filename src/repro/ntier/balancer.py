@@ -49,6 +49,8 @@ class LeastConnBalancer:
         if not servers:
             raise ConfigurationError("cannot route: tier has no live servers")
         best = servers[0]
+        if len(servers) == 1:
+            return best
         best_load = best.outstanding
         for server in servers[1:]:
             load = server.outstanding

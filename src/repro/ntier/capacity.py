@@ -118,7 +118,8 @@ class CapacityModel:
     """
 
     __slots__ = (
-        "resources", "contention", "_a_sat", "_critical", "_rates", "_utils",
+        "resources", "contention", "_a_sat", "_critical", "_job_rates",
+        "_util_rows",
     )
 
     def __init__(
@@ -139,15 +140,13 @@ class CapacityModel:
         self._init_tables()
 
     def _init_tables(self) -> None:
-        # Memo tables of the pure functions work_rate and utilization,
-        # filled on demand for exact-int occupancies only (a PS server's
-        # counters). Float occupancies — the fluid integrator's shares —
-        # bypass them: np.float64(3.0) == 3 would otherwise hit the
-        # int's entry, and a float-keyed entry could hand a numpy
-        # scalar back to an int caller. A capacity change installs a
-        # new model, so the tables never need invalidating.
-        self._rates: dict[tuple[int, int], float] = {}
-        self._utils: dict[tuple[str, int], float] = {}
+        # Memo tables for the PS server's hot path, filled on demand and
+        # keyed by exact-int occupancies only (a server's counters): the
+        # per-job rate by admitted then active count, the utilisation row
+        # by active count. A capacity change installs a new model, so the
+        # tables never need invalidating.
+        self._job_rates: dict[int, dict[int, float]] = {}
+        self._util_rows: dict[int, tuple[tuple[str, float], ...]] = {}
 
     def __getstate__(self):
         # The tables are caches: pickle only the defining state.
@@ -192,19 +191,23 @@ class CapacityModel:
         ``admitted`` is the number of threads held (computing + blocked
         on downstream tiers) and drives the overhead penalty.
         """
-        if type(active) is int and type(admitted) is int:
-            key = (active, admitted)
-            rate = self._rates.get(key)
-            if rate is None:
-                rate = self._rates[key] = self._work_rate(active, admitted)
-            return rate
-        return self._work_rate(active, admitted)
-
-    def _work_rate(self, active: float, admitted: float) -> float:
         if active <= 0:
             return 0.0
         base = active if active < self._a_sat else self._a_sat
         return base * self.contention.penalty(max(admitted, active))
+
+    def job_rate(self, active: int, admitted: int) -> float:
+        """Per-job PS rate ``work_rate(active, admitted) / active``.
+
+        Memoised for the server's int counters; ``active`` must be >= 1.
+        """
+        row = self._job_rates.get(admitted)
+        if row is None:
+            row = self._job_rates[admitted] = {}
+        rate = row.get(active)
+        if rate is None:
+            rate = row[active] = self.work_rate(active, admitted) / active
+        return rate
 
     def throughput(self, concurrency: float, mean_demand: float) -> float:
         """Steady-state throughput (requests/second) at a sustained
@@ -243,16 +246,20 @@ class CapacityModel:
         problem is the concurrency setting (the paper's Fig. 10 story).
         Use :meth:`efficiency` for the useful-work share.
         """
-        if type(active) is int and type(admitted) is int:
-            key = (resource_name, active)
-            util = self._utils.get(key)
-            if util is None:
-                util = self._utils[key] = self._utilization(resource_name, active)
-            return util
-        return self._utilization(resource_name, active)
+        return self._utilization(self._resource(resource_name), active)
 
-    def _utilization(self, resource_name: str, active: float) -> float:
-        res = self._resource(resource_name)
+    def util_row(self, active: int) -> tuple[tuple[str, float], ...]:
+        """``(name, busy utilisation)`` of every resource, in resource
+        order, at an int ``active`` count (memoised)."""
+        row = self._util_rows.get(active)
+        if row is None:
+            row = self._util_rows[active] = tuple(
+                (res.name, self._utilization(res, active)) for res in self.resources
+            )
+        return row
+
+    @staticmethod
+    def _utilization(res: Resource, active: float) -> float:
         if active <= 0:
             return 0.0
         return min(active * res.fraction, res.units) / res.units

@@ -70,13 +70,24 @@ class FifoPool:
         and nobody is queued ahead; otherwise the token joins the FIFO
         queue and the callback fires on a future release/resize.
         """
-        if self._in_use < self._limit and not self._waiters:
-            self._in_use += 1
-            self.total_acquired += 1
+        if self.try_acquire():
             granted(token)
         else:
             self.total_queued += 1
             self._waiters.append((token, granted))
+
+    def try_acquire(self) -> bool:
+        """Take a permit if one is free and nobody is queued ahead.
+
+        Returns False, taking nothing, otherwise — the caller then
+        queues through :meth:`acquire`. This is the callback-free fast
+        path of an admission that is granted at once.
+        """
+        if self._in_use < self._limit and not self._waiters:
+            self._in_use += 1
+            self.total_acquired += 1
+            return True
+        return False
 
     def release(self) -> None:
         """Return one permit, waking the longest-waiting token if any."""

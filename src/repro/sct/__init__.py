@@ -16,7 +16,7 @@ Given fine-grained per-interval tuples ``{Q, TP, RT}`` of one server
 from repro.sct.bootstrap import QLowerInterval, bootstrap_q_lower
 from repro.sct.drift import DriftReport, detect_drift
 from repro.sct.grouping import ConcurrencyBucket, band_representative, bucketize
-from repro.sct.intervention import plateau_pvalues, welch_t_pvalue
+from repro.sct.intervention import welch_t_pvalue
 from repro.sct.model import SCTEstimate, SCTModel
 from repro.sct.smoothing import trend_line
 from repro.sct.tuples import MetricTuple, tuples_from_samples
@@ -29,7 +29,6 @@ __all__ = [
     "bootstrap_q_lower",
     "DriftReport",
     "detect_drift",
-    "plateau_pvalues",
     "welch_t_pvalue",
     "SCTEstimate",
     "SCTModel",

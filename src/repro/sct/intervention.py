@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy import special
 
-__all__ = ["welch_t_pvalue", "plateau_pvalues"]
+__all__ = ["welch_t_pvalue"]
 
 
 def welch_t_pvalue(sample_a, sample_b) -> float:
@@ -63,17 +63,3 @@ def welch_t_pvalue(sample_a, sample_b) -> float:
         return 1.0
     return p
 
-
-def plateau_pvalues(
-    buckets: dict[int, "ConcurrencyBucket"],  # noqa: F821 - doc-only forward ref
-    peak_q: int,
-) -> dict[int, float]:
-    """p-value of "bucket q is below the peak bucket", for every bucket.
-
-    The peak bucket itself gets p = 1.0 by construction.
-    """
-    peak = buckets[peak_q].tp_array()
-    out: dict[int, float] = {}
-    for q, bucket in buckets.items():
-        out[q] = 1.0 if q == peak_q else welch_t_pvalue(bucket.tp_array(), peak)
-    return out

@@ -22,7 +22,19 @@ from repro.errors import ConfigurationError
 from repro.ntier.demand import DemandProfile, TierDemand
 from repro.workload.rubbos import CATALOG, Interaction
 
-__all__ = ["WorkloadMix", "browse_only_mix", "read_write_mix"]
+__all__ = ["WorkloadMix", "browse_only_mix", "read_write_mix", "choice_cdf"]
+
+
+def choice_cdf(probs: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(n, p=probs)`` builds on every call.
+
+    Built once: ``bisect_right(cdf, rng.random())`` then picks the same
+    index as ``rng.choice(len(probs), p=probs)`` and leaves the same
+    stream state.
+    """
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class WorkloadMix:
@@ -68,12 +80,7 @@ class WorkloadMix:
         self.name = name
         self._names: list[str] = sorted(weights)
         self._probs = np.array([weights[n] / total for n in self._names])
-        # The CDF numpy's Generator.choice builds from ``p`` on every
-        # call, built once: bisecting it with one rng.random() draw
-        # picks the same index and leaves the same stream state.
-        cdf = self._probs.cumsum()
-        cdf /= cdf[-1]
-        self._cdf: list[float] = cdf.tolist()
+        self._cdf = choice_cdf(self._probs)
         self._interactions: dict[str, Interaction] = {
             n: catalog[n] for n in self._names
         }

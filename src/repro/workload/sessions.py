@@ -20,11 +20,13 @@ derives an equivalent :class:`~repro.workload.mixes.WorkloadMix`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ntier.request import Request
-from repro.workload.mixes import WorkloadMix
+from repro.workload.mixes import WorkloadMix, choice_cdf
 from repro.workload.rubbos import interaction_by_name
 
 __all__ = [
@@ -48,6 +50,10 @@ class TransitionMatrix:
             raise ConfigurationError(
                 f"matrix shape {p.shape} does not match {n} interactions"
             )
+        if not np.all(np.isfinite(p)):
+            # rng.choice used to reject these on the first draw; the
+            # cached row CDFs below would silently misdraw instead.
+            raise ConfigurationError("transition probabilities must be finite")
         if np.any(p < 0):
             raise ConfigurationError("transition probabilities must be >= 0")
         rows = p.sum(axis=1)
@@ -58,6 +64,7 @@ class TransitionMatrix:
         self.interactions = list(interactions)
         self.p = p
         self._index = {name: i for i, name in enumerate(interactions)}
+        self._cdfs = [choice_cdf(row) for row in p]
 
     # ------------------------------------------------------------------
     def sample_next(self, rng: np.random.Generator, current: str | None) -> str:
@@ -66,9 +73,8 @@ class TransitionMatrix:
         if current is None:
             idx = int(rng.integers(len(self.interactions)))
             return self.interactions[idx]
-        row = self.p[self._index[current]]
-        idx = int(rng.choice(len(row), p=row))
-        return self.interactions[idx]
+        cdf = self._cdfs[self._index[current]]
+        return self.interactions[bisect_right(cdf, rng.random())]
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution (power iteration; the chains used

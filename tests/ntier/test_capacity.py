@@ -206,6 +206,15 @@ def test_usl_tables_equal_formula_over_int_grid():
                     util = cap.utilization(name, active, admitted)
                     assert type(util) is float
                     assert util == _formula_util(cap, name, active)
+                if active >= 1:
+                    job = cap.job_rate(active, admitted)
+                    assert type(job) is float
+                    assert job == _formula_rate(cap, active, admitted) / active
+            row = cap.util_row(active)
+            assert row == tuple(
+                (name, _formula_util(cap, name, active)) for name in ("cpu", "disk")
+            )
+            assert all(type(util) is float for _name, util in row)
 
 
 def test_float_occupancies_bypass_the_tables():
@@ -220,8 +229,9 @@ def test_float_occupancies_bypass_the_tables():
         want_util = _formula_util(cap, "cpu", active)
         before_rate = cap.work_rate(active, admitted)
         before_util = cap.utilization("cpu", active, admitted)
-        assert cap.work_rate(3, 5) == _formula_rate(cap, 3, 5)  # fill int entry
-        cap.utilization("cpu", 3, 5)
+        # fill the int entries
+        assert cap.job_rate(3, 5) == _formula_rate(cap, 3, 5) / 3
+        assert cap.util_row(3)[0] == ("cpu", _formula_util(cap, "cpu", 3))
         for rate in (before_rate, cap.work_rate(active, admitted)):
             assert type(rate) is type(want_rate) and rate == want_rate
         for util in (before_util, cap.utilization("cpu", active, admitted)):
@@ -238,13 +248,14 @@ def test_usl_tables_stay_out_of_identity_and_pickles():
 
     fresh = _usl_model()
     used = _usl_model()
-    used.work_rate(4, 7)
-    used.utilization("disk", 4, 7)
+    used.job_rate(4, 7)
+    used.util_row(4)
     assert content_digest(used) == content_digest(fresh)
     blob = pickle.dumps(used, pickle.HIGHEST_PROTOCOL)
     assert blob == pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL)
     restored = pickle.loads(blob)
     assert content_digest(restored) == content_digest(fresh)
-    assert restored.work_rate(4, 7) == used.work_rate(4, 7)
+    assert restored.job_rate(4, 7) == used.job_rate(4, 7)
+    assert restored.util_row(4) == used.util_row(4)
     with pytest.raises(CapacityModelError):
         restored.utilization("gpu", 1, 1)

@@ -151,6 +151,20 @@ def test_zero_demand_completes_via_event():
     assert sim.now == 0.0
 
 
+def test_zero_demand_phase_counts_as_work_completion():
+    """A zero-demand phase is a finished PS phase like any other."""
+    sim = Simulator()
+    server = make_server(sim)
+    req = make_request()
+    server.admit(
+        req,
+        lambda r: server.work(r, 0.0, lambda x: server.work(x, 1.0, server.release)),
+    )
+    sim.run()
+    assert server.work_completions == 2
+    assert server.completions == 1
+
+
 def test_visit_latency_recorded_on_release():
     sim = Simulator()
     server = make_server(sim)

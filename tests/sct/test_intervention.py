@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sct.grouping import bucketize
-from repro.sct.intervention import plateau_pvalues, welch_t_pvalue
-from repro.sct.tuples import MetricTuple
+from repro.sct.intervention import welch_t_pvalue
 
 
 def test_clearly_lower_sample_is_significant():
@@ -49,17 +47,3 @@ def test_matches_scipy_reference():
     ref = stats.ttest_ind(a, b, equal_var=False, alternative="less").pvalue
     assert ours == pytest.approx(float(ref), abs=1e-12)
 
-
-def test_plateau_pvalues_shape():
-    rng = np.random.default_rng(4)
-    tuples = []
-    for q, mean in [(2, 20.0), (5, 50.0), (10, 100.0), (20, 99.0)]:
-        tuples.extend(
-            MetricTuple(q, float(v), 0.01, 1.0)
-            for v in rng.normal(mean, 5, 30)
-        )
-    buckets = bucketize(tuples, min_samples=5, width=1)
-    pvals = plateau_pvalues(buckets, peak_q=10)
-    assert pvals[10] == 1.0
-    assert pvals[2] < 0.001  # clearly below peak
-    assert pvals[20] > 0.05  # statistically at the peak

@@ -54,6 +54,33 @@ def test_sample_next_follows_rows():
     assert frac_comment == pytest.approx(0.8, abs=0.02)
 
 
+def test_non_finite_probabilities_rejected():
+    with pytest.raises(ConfigurationError):
+        TransitionMatrix(["ViewStory", "ViewComment"], [[np.nan, 1.0], [0.5, 0.5]])
+
+
+def test_cached_row_cdf_draws_match_rng_choice():
+    """Bisecting a row's cached CDF is numpy's own choice(p=row): the
+    same next interaction on every draw and the same stream afterwards.
+    The walk follows the chain, so every row is exercised, and it mixes
+    in fresh-session draws (rng.integers) between the row draws."""
+    tm = browse_session_matrix()
+    names = tm.interactions
+    fast = np.random.default_rng(2024)
+    reference = np.random.default_rng(2024)
+    current = None
+    for step in range(100_000):
+        got = tm.sample_next(fast, current)
+        if current is None:
+            want = names[int(reference.integers(len(names)))]
+        else:
+            row = tm.p[names.index(current)]
+            want = names[int(reference.choice(len(row), p=row))]
+        assert got == want, step
+        current = None if step % 50 == 49 else got
+    assert fast.bit_generator.state == reference.bit_generator.state
+
+
 def test_fresh_session_uniform_entry():
     tm = two_state()
     rng = np.random.default_rng(1)
