@@ -11,9 +11,8 @@ pending *population* is huge):
   "completion" events that move on (almost) every transition, again on
   top of a standing backlog. Reschedule throughput.
 
-Both run on three engines: the current default
-(``Simulator(calendar="wheel")``), the tuple-keyed heap
-(``calendar="heap"``), and :class:`LegacySimulator` — a faithful copy
+Both run on two engines: the simulator's wheel calendar
+(``Simulator()``), and :class:`LegacySimulator` — a faithful copy
 of the pre-overhaul seed engine (single heap of handle objects compared
 via Python ``__lt__``, lazy deletion with no compaction, cancel+re-push
 as the only way to move an event). The legacy engine is the recorded
@@ -33,7 +32,7 @@ from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 
-ENGINES = ("wheel", "heap", "legacy")
+ENGINES = ("wheel", "legacy")
 
 #: Standing population of far-future session events (the calendar load).
 DEFAULT_BACKLOG = 500_000
@@ -161,10 +160,10 @@ class LegacySimulator:
 
 
 def make_sim(engine: str) -> Simulator | LegacySimulator:
-    """Build one of the three benchmark engines (see :data:`ENGINES`)."""
+    """Build one of the benchmark engines (see :data:`ENGINES`)."""
     if engine == "legacy":
         return LegacySimulator()
-    return Simulator(calendar=engine)
+    return Simulator()
 
 
 def _load_backlog(

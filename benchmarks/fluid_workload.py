@@ -59,7 +59,7 @@ def fluid_spec(mode: str, *, duration: float, load_scale: float) -> RunSpec:
 
 def _timed_run(spec: RunSpec) -> tuple[float, int, int]:
     """(wall seconds, events executed, sessions generated) for one run."""
-    sim = Simulator(calendar="wheel")
+    sim = Simulator()
     gc.collect()
     t0 = time.perf_counter()
     artifact = execute_spec(spec, sim=sim)

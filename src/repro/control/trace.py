@@ -3,16 +3,14 @@
 A :class:`DecisionTrace` subscribes to a
 :class:`~repro.control.bus.ControlBus` (or is appended to directly) and
 keeps every :class:`~repro.control.events.DecisionEvent` in time order.
-It subsumes the old ``ActionLog``: all of its query helpers survive,
-plus the event fields the old log had no room for (source, reason, the
-justifying SCT estimate, and explicit no-op ticks).
+Besides time, kind, tier, value and detail, every event carries its
+source, reason, the justifying SCT estimate, and explicit no-op ticks.
 
 Serialisation is columnar: pickling a trace stores plain numpy arrays
 (one column per event field) rather than a list of objects, so a trace
 rides the content-addressed artifact cache deterministically and its
 columns can be hashed into an artifact signature. Unpickling rebuilds
-the event objects; legacy pickles of the pre-bus ``ActionLog`` (a
-``_actions`` list of ``ScalingAction``\\ s) are upgraded transparently.
+the event objects.
 """
 
 from __future__ import annotations
@@ -62,13 +60,13 @@ class DecisionTrace:
         reason: str = "",
         estimate: float | None = None,
     ) -> None:
-        """Append one event from fields (the old ``ActionLog.record``)."""
+        """Append one event from fields."""
         self._events.append(
             DecisionEvent(time, kind, tier, value, detail, source, reason, estimate)
         )
 
     # ------------------------------------------------------------------
-    # queries (the ActionLog surface, extended)
+    # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)
@@ -207,20 +205,10 @@ class DecisionTrace:
         )
 
     # ------------------------------------------------------------------
-    # pickling: columnar, with the legacy ActionLog upgrade path
+    # pickling: columnar
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {"columns": self.to_columns()}
 
     def __setstate__(self, state: dict) -> None:
-        if "columns" in state:
-            self._events = DecisionTrace.from_columns(state["columns"])._events
-        elif "_actions" in state:
-            # A pre-bus ActionLog pickle: a list of ScalingAction
-            # records with (time, kind, tier, value, detail) fields.
-            self._events = [
-                DecisionEvent(a.time, a.kind, a.tier, a.value, a.detail)
-                for a in state["_actions"]
-            ]
-        else:  # a raw event list (old in-memory copy)
-            self._events = list(state.get("_events", ()))
+        self._events = DecisionTrace.from_columns(state["columns"])._events

@@ -13,7 +13,6 @@ __all__ = [
     "SimulationError",
     "ScheduleError",
     "TieOrderRaceError",
-    "CalendarDivergenceError",
     "FluidDivergenceError",
     "LintError",
     "CapacityModelError",
@@ -60,17 +59,6 @@ class TieOrderRaceError(SimulationError):
     data race: the outcome hangs on a scheduling accident."""
 
 
-class CalendarDivergenceError(SimulationError):
-    """The heap and wheel calendars produced different run artifacts.
-
-    Raised by the calendar-equivalence harness
-    (:func:`repro.experiments.calendar_equiv.run_calendar_check`) when
-    executing the same spec under ``Simulator(calendar="heap")`` and
-    ``Simulator(calendar="wheel")`` yields different observable
-    surfaces. The calendar is a pure performance choice; any divergence
-    is an engine bug, never a legitimate model difference."""
-
-
 class FluidDivergenceError(SimulationError):
     """A fluid/hybrid run diverged from its discrete twin beyond the
     equivalence tolerance.
@@ -80,7 +68,7 @@ class FluidDivergenceError(SimulationError):
     ``mode="hybrid"`` run breaks request conservation, or its latency
     percentiles / completed-request throughput fall outside the
     statistical tolerance band around the ``mode="discrete"`` twin of
-    the same spec. Unlike the calendar contract this is a *statistical*
+    the same spec. Unlike the tie-order contract this is a *statistical*
     equivalence — the fluid integrator is an approximation by design —
     so the tolerances are calibrated, not zero."""
 

@@ -1,7 +1,7 @@
 """Fluid-equivalence harness: hybrid vs discrete, statistically.
 
-The counterpart of :mod:`repro.experiments.calendar_equiv` for the
-flow-model axis (:mod:`repro.sim.flowmodel`). The calendar contract is
+The counterpart of :mod:`repro.experiments.racecheck` for the
+flow-model axis (:mod:`repro.sim.flowmodel`). The tie-order contract is
 byte-identity — the fluid contract cannot be: the
 :class:`~repro.sim.fluid.FluidStepper` is an aggregate approximation by
 design. What a hybrid run *must* preserve:
@@ -244,7 +244,7 @@ def run_fluid_suite(
 ) -> list[FluidCheckReport]:
     """Run :func:`run_fluid_check` over a spec list (default sweep).
 
-    Fail-fast like the calendar suite: the first divergence raises.
+    Fail-fast: the first divergence raises.
     The bursty storyline may legitimately never leave discrete mode, so
     ``require_fluid`` is enforced only on the steady specs (those whose
     scenario name carries ``steady``).

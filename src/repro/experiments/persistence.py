@@ -22,11 +22,7 @@ import pickle
 from typing import Any
 
 from repro.errors import ExperimentError
-from repro.experiments.artifact import (
-    COMPAT_SCHEMAS,
-    SCHEMA_VERSION,
-    RunArtifact,
-)
+from repro.experiments.artifact import SCHEMA_VERSION, RunArtifact
 from repro.experiments.runner import ExperimentResult
 
 __all__ = [
@@ -210,17 +206,21 @@ def load_artifact(path: str) -> RunArtifact:
     try:
         with open(path, "rb") as fh:
             artifact = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+    except (
+        OSError, pickle.UnpicklingError, EOFError,
+        # The pickle names a class this build no longer has (e.g. the
+        # pre-bus ``repro.scaling.actions.ActionLog``).
+        ImportError, AttributeError,
+    ) as exc:
         raise ExperimentError(f"cannot load artifact {path!r}: {exc}") from exc
     if not isinstance(artifact, RunArtifact):
         raise ExperimentError(
             f"{path!r} does not contain a RunArtifact "
             f"(got {type(artifact).__name__})"
         )
-    if artifact.schema not in COMPAT_SCHEMAS:
+    if artifact.schema != SCHEMA_VERSION:
         raise ExperimentError(
             f"{path!r} has artifact schema {artifact.schema}, "
-            f"this build expects {SCHEMA_VERSION} "
-            f"(compatible: {sorted(COMPAT_SCHEMAS)})"
+            f"this build expects {SCHEMA_VERSION}"
         )
     return artifact

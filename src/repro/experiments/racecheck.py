@@ -129,20 +129,16 @@ def diverging_surfaces(
     return tuple(name for name in a if a[name] != b[name])
 
 
-def run_race_check(spec: RunSpec, *, calendar: str = "wheel") -> RaceCheckReport:
+def run_race_check(spec: RunSpec) -> RaceCheckReport:
     """Execute ``spec`` under both tie-break orders and compare.
 
     Returns a :class:`RaceCheckReport` when every observable matches;
     raises :class:`TieOrderRaceError` naming the diverging surfaces
     otherwise. Cache-bypassing by construction: both runs call
     :func:`~repro.experiments.runner.execute_spec` directly.
-
-    ``calendar`` selects the event calendar *both* runs execute on —
-    the tie-order contract must hold under either calendar, so the
-    engine test suite runs this check on each.
     """
-    canonical = execute_spec(spec, sim=Simulator(calendar=calendar))
-    permuted_sim = Simulator(tie_order="reverse", calendar=calendar)
+    canonical = execute_spec(spec)
+    permuted_sim = Simulator(tie_order="reverse")
     permuted = execute_spec(spec, sim=permuted_sim)
     divergent = diverging_surfaces(canonical, permuted)
     if divergent:

@@ -29,6 +29,7 @@ comma-separated ``kind:...`` atoms, e.g.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -61,7 +62,16 @@ def _check_tier(tier: str, wildcard: bool = False) -> None:
         )
 
 
+def _check_finite(**values: float) -> None:
+    # NaN slips through every ordered comparison below, and an infinite
+    # time or factor only fails deep inside a run.
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"fault {name} must be finite, got {value!r}")
+
+
 def _check_window(at: float, duration: float) -> None:
+    _check_finite(time=at, duration=duration)
     if at < 0:
         raise ConfigurationError(f"fault time must be >= 0, got {at!r}")
     if duration <= 0:
@@ -85,6 +95,7 @@ class SlowNodeSpec:
     def __post_init__(self) -> None:
         _check_tier(self.tier)
         _check_window(self.at, self.duration)
+        _check_finite(slowdown=self.slowdown)
         if self.slowdown <= 1.0:
             raise ConfigurationError(
                 f"slowdown must be > 1, got {self.slowdown!r}"
@@ -118,6 +129,7 @@ class ServerCrashSpec:
 
     def __post_init__(self) -> None:
         _check_tier(self.tier)
+        _check_finite(time=self.at)
         if self.at < 0:
             raise ConfigurationError(f"fault time must be >= 0, got {self.at!r}")
         if self.server_index < 0:
@@ -158,6 +170,7 @@ class ProvisioningFaultSpec:
             raise ConfigurationError(
                 f"mode must be 'fail' or 'delay', got {self.mode!r}"
             )
+        _check_finite(delay_factor=self.delay_factor)
         if self.delay_factor <= 1.0:
             raise ConfigurationError(
                 f"delay_factor must be > 1, got {self.delay_factor!r}"
@@ -208,6 +221,7 @@ class ClientTimeoutSpec:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
+        _check_finite(deadline=self.deadline)
         if self.deadline <= 0:
             raise ConfigurationError(
                 f"deadline must be > 0, got {self.deadline!r}"

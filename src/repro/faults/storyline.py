@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -327,6 +328,10 @@ def parse_storyline(
         raise ConfigurationError(
             f"bad number in storyline spec {text!r}: {exc}"
         ) from None
+    if not (math.isfinite(t0) and math.isfinite(dur)):
+        raise ConfigurationError(
+            f"storyline time and duration must be finite, got {text!r}"
+        )
     rng = None
     if story.jitter_frac > 0:
         rng = RngRegistry(seed).stream(f"storyline:{story.name}")

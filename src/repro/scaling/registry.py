@@ -42,6 +42,7 @@ qos baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -122,7 +123,7 @@ class ParamSpec:
                 raise ConfigurationError(
                     f"param {self.name!r} expects an int, got {value!r}"
                 )
-            if float(value) != int(value):
+            if not math.isfinite(value) or float(value) != int(value):
                 raise ConfigurationError(
                     f"param {self.name!r} expects an int, got {value!r}"
                 )
@@ -131,6 +132,10 @@ class ParamSpec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigurationError(
                     f"param {self.name!r} expects a float, got {value!r}"
+                )
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"param {self.name!r} expects a finite float, got {value!r}"
                 )
             return float(value)
         if self.kind == "bool":

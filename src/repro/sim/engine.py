@@ -7,18 +7,11 @@ from sys import maxsize
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, ScheduleError, SimulationError
-from repro.sim.calendar import (
-    CALENDARS,
-    COMPACT_FLOOR,
-    HeapCalendar,
-    WheelCalendar,
-    make_calendar,
-)
+from repro.sim.calendar import COMPACT_FLOOR, WheelCalendar
 from repro.sim.event import EventHandle
 
 __all__ = [
     "Simulator",
-    "CALENDARS",
     "TIE_ORDERS",
     "PRIORITY_MODEL",
     "PRIORITY_FLUID",
@@ -82,13 +75,11 @@ class Simulator:
     only moves forward; scheduling in the past raises
     :class:`ScheduleError`.
 
-    ``calendar`` selects the pending-event store (see
-    :mod:`repro.sim.calendar`): ``"wheel"`` (default) is the two-level
-    slotted calendar tuned for dense periodic traffic and the server
-    model's reschedule churn; ``"heap"`` is the classic single
-    lazy-deletion heap, kept selectable so the calendar-equivalence
-    harness can pin the wheel against it. Both execute the *exact* same
-    event sequence for the same schedule/cancel/reschedule calls.
+    Pending events live in a :class:`~repro.sim.calendar.WheelCalendar`,
+    the two-level slotted calendar tuned for dense periodic traffic and
+    the server model's reschedule churn; ``wheel_slot`` (seconds) and
+    ``wheel_slots`` size its near horizon. The execution order does not
+    depend on them.
 
     ``tie_order`` selects how events sharing a (time, priority) pair are
     sequenced: ``"fifo"`` (default) preserves schedule order, while
@@ -104,7 +95,6 @@ class Simulator:
         start_time: float = 0.0,
         *,
         tie_order: str = "fifo",
-        calendar: str = "wheel",
         wheel_slot: float = 0.002,
         wheel_slots: int = 4096,
     ) -> None:
@@ -112,16 +102,9 @@ class Simulator:
             raise ConfigurationError(
                 f"tie_order must be one of {TIE_ORDERS}, got {tie_order!r}"
             )
-        if calendar not in CALENDARS:
-            raise ConfigurationError(
-                f"calendar must be one of {CALENDARS}, got {calendar!r}"
-            )
         self._now = float(start_time)
-        self._cal: HeapCalendar | WheelCalendar = make_calendar(
-            calendar, slot_width=wheel_slot, nslots=wheel_slots
-        )
-        if isinstance(self._cal, WheelCalendar):
-            self._cal.cursor = self._cal.slot_of(self._now)
+        self._cal = WheelCalendar(slot_width=wheel_slot, nslots=wheel_slots)
+        self._cal.cursor = self._cal.slot_of(self._now)
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -155,15 +138,10 @@ class Simulator:
         """
         return self._live
 
-    @property
-    def calendar(self) -> str:
-        """The calendar kind this simulator runs on (``wheel``/``heap``)."""
-        return self._cal.kind
-
     def calendar_stats(self) -> dict[str, int]:
-        """Calendar occupancy counters: stored entries, lazy-deletion
-        debt (``dead``), and compaction count; the wheel additionally
-        reports its active/bucket/overflow split."""
+        """Calendar occupancy counters: stored entries, the
+        active/bucket/overflow split, lazy-deletion debt (``dead``), and
+        compaction count."""
         return self._cal.stats()
 
     @property
@@ -254,8 +232,8 @@ class Simulator:
 
         The rescheduled event is sequenced as if freshly scheduled now
         (new schedule order), exactly like the cancel+schedule pair it
-        replaces — so both code patterns and both calendars execute the
-        same event sequence. Raises :class:`ScheduleError` for handles
+        replaces — so both code patterns execute the same event
+        sequence. Raises :class:`ScheduleError` for handles
         that are not pending (already fired or cancelled), foreign
         handles, and times in the past.
         """
@@ -338,48 +316,17 @@ class Simulator:
         try:
             if self._tie_order == "reverse":
                 self._run_permuted(until, max_events)
-            elif isinstance(self._cal, WheelCalendar):
-                self._run_fifo_wheel(self._cal, until, max_events)
             else:
-                self._run_fifo_heap(self._cal, until, max_events)
+                self._run_fifo(until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
 
-    def _run_fifo_heap(
-        self, cal: HeapCalendar, until: float | None, max_events: int | None
-    ) -> None:
-        """The classic hot loop: one event at a time, strict heap order."""
-        budget = max_events if max_events is not None else -1
-        until_v = _INF if until is None else until
-        heap = cal.entries
-        while heap and not self._stopped:
-            entry = heap[0]
-            handle = entry[3]
-            if handle.cancelled:
-                heappop(heap)
-                handle.done = True
-                cal.dead -= 1
-                continue
-            time = entry[0]
-            if time > until_v:
-                break
-            heappop(heap)
-            handle.done = True
-            self._live -= 1
-            self._now = time
-            handle.callback(*handle.args)
-            self._executed += 1
-            budget -= 1
-            if budget == 0:
-                break
-
-    def _run_fifo_wheel(
-        self, cal: WheelCalendar, until: float | None, max_events: int | None
-    ) -> None:
-        """The wheel hot loop: drain the active slot heap, advance the
-        cursor to the next populated slot when it empties."""
+    def _run_fifo(self, until: float | None, max_events: int | None) -> None:
+        """The hot loop: drain the active slot heap, advance the cursor
+        to the next populated slot when it empties."""
+        cal = self._cal
         budget = max_events if max_events is not None else -1
         until_v = _INF if until is None else until
         limit_idx = maxsize if until is None else cal.slot_of(until)
@@ -422,18 +369,11 @@ class Simulator:
         exactly as they would run after their creators in FIFO order.
         Causal order is therefore preserved; only the arbitrary
         interleaving of concurrent events changes.
-
-        Calendar-generic (runs on the peek/pop interface): the race
-        detector must be able to permute under both calendars.
         """
         budget = max_events if max_events is not None else -1
         until_v = _INF if until is None else until
         cal = self._cal
-        limit_idx = (
-            maxsize
-            if until is None or not isinstance(cal, WheelCalendar)
-            else cal.slot_of(until)
-        )
+        limit_idx = maxsize if until is None else cal.slot_of(until)
         while not self._stopped:
             head = cal.peek(limit_idx)
             if head is None:

@@ -169,28 +169,43 @@ def test_scenario_drift_check_flag():
     assert ScenarioConfig(sct_drift_check=True).sct_drift_check is True
 
 
-def test_cli_run_calendar_check(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code = main([
-        "run", "conscale", "--scale", "150", "--duration", "60",
-        "--trace", "dual_phase", "--calendar-check",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "calendars equivalent" in out
-    assert "calendar equivalence ok" in out
+@pytest.mark.parametrize(
+    "flags",
+    [["--calendar", "heap"], ["--calendar-check"], ["--headroom", "3"]],
+    ids=["calendar", "calendar-check", "headroom"],
+)
+def test_cli_removed_run_flags_are_usage_errors(capsys, flags):
+    """The calendar knobs and the headroom alias are gone: argparse
+    rejects them (exit 2) before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "conscale", "--trace", "dual_phase", *flags])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_run_heap_calendar(capsys, tmp_path, monkeypatch):
-    """--calendar heap executes directly (no cache) on the heap loop."""
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--faults", "slow:app:1:2:nan"],
+        ["--faults", "crash:db:1e400"],
+        ["--faults", "dropout:all:10:inf"],
+        ["--storyline", "az-outage:db:nan"],
+        ["--param", "headroom=nan"],
+    ],
+    ids=["slow-nan", "crash-1e400", "dropout-inf", "storyline-nan", "param-nan"],
+)
+def test_cli_non_finite_inputs_exit_2(capsys, tmp_path, monkeypatch, flags):
+    """NaN and infinite numbers are configuration errors, reported
+    before the run starts, not crashes partway through it."""
     monkeypatch.chdir(tmp_path)
     code = main([
-        "run", "conscale", "--scale", "150", "--duration", "60",
-        "--trace", "dual_phase", "--calendar", "heap",
+        "run", "conscale", "--scale", "300", "--duration", "60",
+        "--trace", "dual_phase", *flags,
     ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "p99_ms" in out
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "results" / "cache").exists()
 
 

@@ -315,22 +315,27 @@ def test_empty_trace_artifact_roundtrips(ec2_artifact):
 
 
 def test_legacy_schema_artifact_still_loads(tmp_path, ec2_artifact):
-    """Schema-1 artifacts (pre-bus ActionLog era) load; unknown future
-    schemas are rejected."""
+    """Only the current schema loads: a schema-1 artifact (pre-bus era)
+    and an unknown future schema are both rejected."""
     import copy
     from repro.experiments.persistence import load_artifact, save_artifact
 
-    legacy = copy.copy(ec2_artifact)
-    legacy.schema = 1
-    path = str(tmp_path / "legacy.pkl")
-    save_artifact(legacy, path)
-    assert load_artifact(path).schema == 1
-
-    future = copy.copy(ec2_artifact)
-    future.schema = SCHEMA_VERSION + 1
-    save_artifact(future, str(tmp_path / "future.pkl"))
-    with pytest.raises(ExperimentError, match="schema"):
-        load_artifact(str(tmp_path / "future.pkl"))
+    current = str(tmp_path / "current.pkl")
+    save_artifact(ec2_artifact, current)
+    assert load_artifact(current).schema == SCHEMA_VERSION
+    for schema in (1, SCHEMA_VERSION + 1):
+        other = copy.copy(ec2_artifact)
+        other.schema = schema
+        path = str(tmp_path / f"schema{schema}.pkl")
+        save_artifact(other, path)
+        with pytest.raises(ExperimentError, match=f"schema {schema}"):
+            load_artifact(path)
+    # A pickle naming a class this build no longer has (the pre-bus
+    # ActionLog) is an ExperimentError too, not an ImportError.
+    gone = tmp_path / "gone.pkl"
+    gone.write_bytes(b"crepro.scaling.actions\nActionLog\n.")
+    with pytest.raises(ExperimentError, match="cannot load artifact"):
+        load_artifact(str(gone))
 
 
 def test_result_summary_excludes_noops(ec2_artifact):

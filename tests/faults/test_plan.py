@@ -62,6 +62,12 @@ def test_parse_plan_and_describe():
         "prov:db:10:20:maybe",    # bad mode
         "timeout:10:20:0",        # non-positive deadline
         "dropout:db:10",          # missing duration
+        "slow:app:1:2:nan",       # NaN slowdown
+        "slow:app:nan",           # NaN time
+        "crash:db:1e400",         # time overflows to inf
+        "dropout:all:10:inf",     # infinite duration
+        "prov:db:10:20:delay:inf",  # infinite delay factor
+        "timeout:10:20:-inf",     # non-finite deadline
     ],
 )
 def test_parse_rejects_bad_atoms(atom):

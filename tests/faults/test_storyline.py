@@ -134,6 +134,9 @@ def test_malformed_storyline_specs():
         parse_storyline("az-outage:db:120:60:extra", run_duration=300.0)
     with pytest.raises(ConfigurationError, match="bad number"):
         parse_storyline("az-outage:db:soon", run_duration=300.0)
+    for text in ("az-outage:db:nan", "az-outage:db:10:inf", "brownout:db:-inf"):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_storyline(text, run_duration=300.0)
     with pytest.raises(ConfigurationError, match="epicenter tier"):
         parse_storyline("az-outage:rack7", run_duration=300.0)
 

@@ -9,6 +9,7 @@ from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
 
 from tests.conftest import simple_capacity
+from tests.sim.heap_oracle import SIMULATORS
 
 
 def make_server(sim, name="db-1", tier="db", a_sat=10.0):
@@ -148,8 +149,8 @@ def test_primary_resource_rename_raises():
 def test_vectorised_collection_matches_across_calendars():
     """The numpy collection pass is calendar-independent."""
     outputs = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator()
         wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.25)
         servers = [make_server(sim, f"db-{i}", "db") for i in range(3)]
         for s in servers:

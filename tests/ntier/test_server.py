@@ -7,6 +7,7 @@ from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import SIMULATORS
 
 
 def make_server(sim, a_sat=10.0, sigma=0.0, kappa=0.0, threads=100):
@@ -240,8 +241,8 @@ def test_ps_completions_identical_across_calendars():
     """The tuple-keyed completion heap plus the reschedule fast path
     must not change *when* any job finishes vs the heap calendar."""
     results = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator()
         server = make_server(sim, a_sat=4, sigma=3e-3, kappa=2e-4)
         done = []
 

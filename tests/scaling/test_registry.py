@@ -7,7 +7,7 @@ spell out what *is* valid, digest-stable param coercion, params riding
 the cache key, and — the headline — a third-party controller registered
 at runtime working end-to-end: RunSpec construction, deterministic
 digests and signatures on both the serial and process backends, and the
-dynamic ``FRAMEWORKS`` re-exports picking it up.
+CLI's framework choices picking it up.
 
 Simulation runs use the reduced scale of ``test_engine`` (load_scale
 300, 60 s).
@@ -115,6 +115,11 @@ def test_coercion_rejects_wrong_kinds():
     with pytest.raises(ConfigurationError, match="expects an int"):
         mpc.param("q_max").coerce(2.5)
     assert mpc.param("q_max").coerce(200.0) == 200  # integral float is fine
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError, match="expects a finite float"):
+            conscale.param("headroom").coerce(bad)
+        with pytest.raises(ConfigurationError, match="expects an int"):
+            mpc.param("q_max").coerce(bad)
 
 
 def test_resolve_overlays_defaults():
@@ -241,15 +246,10 @@ def paced_registered():
 
 def test_plugin_visible_everywhere(paced_registered):
     assert "paced" in registered_frameworks()
-    # The deprecated module-level tuples are registry-derived, so the
-    # plugin shows up in all three without re-import.
-    import repro
-    import repro.experiments.artifact as artifact
-    import repro.experiments.runner as runner
+    # The CLI derives its framework choices from the registry.
+    from repro.cli import build_parser
 
-    assert "paced" in repro.FRAMEWORKS
-    assert "paced" in artifact.FRAMEWORKS
-    assert "paced" in runner.FRAMEWORKS
+    assert build_parser().parse_args(["run", "paced"]).framework == "paced"
 
 
 def test_plugin_runs_end_to_end_and_digests_deterministically(

@@ -1,34 +1,17 @@
-"""Tests for the pluggable event calendars (heap and two-level wheel)."""
+"""Tests for the two-level wheel calendar, checked against the heap oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import (
-    CALENDARS,
-    SLOT_ACTIVE,
-    SLOT_OVERFLOW,
-    HeapCalendar,
-    WheelCalendar,
-    make_calendar,
-)
+from repro.sim.calendar import SLOT_ACTIVE, SLOT_OVERFLOW, WheelCalendar
 from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import SIMULATORS, HeapSimulator
 
 
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-
-def test_make_calendar_kinds():
-    assert isinstance(make_calendar("wheel"), WheelCalendar)
-    assert isinstance(make_calendar("heap"), HeapCalendar)
-    assert CALENDARS[0] == "wheel"  # documented default
-
-
-def test_make_calendar_unknown_kind_raises():
-    with pytest.raises(ValueError, match="unknown calendar kind"):
-        make_calendar("btree")
-
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_wheel_invalid_slot_width_raises(bad):
@@ -46,7 +29,7 @@ def test_wheel_invalid_nslots_raises():
 # ----------------------------------------------------------------------
 
 def _wheel_sim(slot=0.5, nslots=8):
-    return Simulator(calendar="wheel", wheel_slot=slot, wheel_slots=nslots)
+    return Simulator(wheel_slot=slot, wheel_slots=nslots)
 
 
 def _noop():
@@ -157,9 +140,9 @@ def test_cancelled_overflow_heads_are_discarded_on_advance():
 # compaction
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("calendar", CALENDARS)
+@pytest.mark.parametrize("calendar", SIMULATORS)
 def test_compaction_triggers_when_dead_exceed_live(calendar):
-    sim = Simulator(calendar=calendar)
+    sim = SIMULATORS[calendar]()
     handles = [sim.schedule(10.0 + i * 0.001, _noop) for i in range(200)]
     survivors = handles[:10]
     for h in handles[10:]:
@@ -191,7 +174,7 @@ def test_wheel_compaction_rebuilds_bucket_positions():
 def test_compaction_during_run_keeps_loop_alive():
     """A compaction triggered by a callback's cancels must not strand
     the run loop: the active heap is rebuilt in place."""
-    sim = Simulator(calendar="wheel")
+    sim = Simulator()
     seen = []
     victims = [sim.schedule(5.0 + i * 1e-4, _noop) for i in range(300)]
 
@@ -209,11 +192,11 @@ def test_compaction_during_run_keeps_loop_alive():
 
 
 # ----------------------------------------------------------------------
-# heap calendar specifics
+# heap oracle specifics
 # ----------------------------------------------------------------------
 
 def test_heap_calendar_peek_discards_cancelled_heads():
-    sim = Simulator(calendar="heap")
+    sim = HeapSimulator()
     doomed = sim.schedule(1.0, _noop)
     live = sim.schedule(2.0, _noop)
     doomed.cancel()
@@ -223,47 +206,61 @@ def test_heap_calendar_peek_discards_cancelled_heads():
 
 
 def test_heap_calendar_stats_shape():
-    sim = Simulator(calendar="heap")
+    sim = HeapSimulator()
     sim.schedule(1.0, _noop)
     assert sim.calendar_stats() == {"stored": 1, "dead": 0, "compactions": 0}
 
 
 # ----------------------------------------------------------------------
-# property: the two calendars execute identical sequences
+# property: the wheel executes the heap oracle's sequence
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
     st.tuples(
         st.sampled_from(["schedule", "cancel", "reschedule"]),
-        st.integers(min_value=0, max_value=5000),  # time in ms
+        # Event time in ms after the op runs: often inside the slot
+        # being drained, otherwise anywhere up to ~5 wheel horizons.
+        st.one_of(
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=0, max_value=5000),
+        ),
         st.integers(min_value=0, max_value=30),    # target handle index
+        st.integers(min_value=0, max_value=50),    # ms until the next op
     ),
     min_size=1,
     max_size=60,
 )
 
 
-def _execute_program(calendar, program):
-    """Run a schedule/cancel/reschedule program; return the event trace."""
-    sim = Simulator(
-        calendar=calendar, wheel_slot=0.016, wheel_slots=64
-    )  # ~1 s horizon, so the program crosses it constantly
+def _execute_program(sim, program):
+    """Run a schedule/cancel/reschedule program; return the event trace.
+
+    The ops run one at a time from a driver event chain while the
+    simulation is under way, so events land in the active slot, in wheel
+    buckets and in the overflow heap, and moves cross between them.
+    """
     trace = []
     handles = []
 
     def fire(tag):
-        trace.append((round(sim.now, 6), tag))
+        trace.append((sim.now, tag))
 
-    for step, (op, ms, target) in enumerate(program):
-        time = ms / 1000.0
+    def drive(step):
+        op, ms, target, gap = program[step]
+        time = sim.now + ms / 1000.0
         if op == "schedule" or not handles:
-            handles.append(sim.schedule(time + 5.0, fire, step))
+            handles.append(sim.schedule(time, fire, step))
         elif op == "cancel":
             handles[target % len(handles)].cancel()
         else:
-            h = handles[target % len(handles)]
+            idx = target % len(handles)
+            h = handles[idx]
             if not (h.done or h.cancelled):
-                handles[target % len(handles)] = sim.reschedule(h, time + 5.0)
+                handles[idx] = sim.reschedule(h, time)
+        if step + 1 < len(program):
+            sim.schedule_after(gap / 1000.0, drive, step + 1)
+
+    sim.schedule(0.0, drive, 0)
     sim.run()
     trace.append(("executed", sim.events_executed))
     return trace
@@ -272,4 +269,8 @@ def _execute_program(calendar, program):
 @settings(max_examples=120, deadline=None)
 @given(program=_ops)
 def test_heap_and_wheel_execute_identically(program):
-    assert _execute_program("heap", program) == _execute_program("wheel", program)
+    # ~1 s wheel horizon, so the program crosses it constantly.
+    wheel = Simulator(wheel_slot=0.016, wheel_slots=64)
+    assert _execute_program(HeapSimulator(), program) == _execute_program(
+        wheel, program
+    )

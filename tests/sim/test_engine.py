@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ScheduleError, SimulationError
 from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import SIMULATORS
 
 
 def test_clock_starts_at_zero():
@@ -201,8 +202,8 @@ def test_callback_scheduling_more_events():
 # ----------------------------------------------------------------------
 
 def test_reschedule_moves_event_to_new_time():
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator()
         seen = []
         h = sim.schedule(1.0, seen.append, "x")
         sim.reschedule(h, 3.0)
@@ -247,8 +248,8 @@ def test_reschedule_into_past_raises():
 def test_reschedule_sequences_as_fresh_schedule():
     """A rescheduled event runs after events already pending at the same
     instant, exactly like a cancel+schedule pair would."""
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator()
         seen = []
         moved = sim.schedule(1.0, seen.append, "moved")
         sim.schedule(2.0, seen.append, "resident")
@@ -310,8 +311,8 @@ def test_rearmed_handle_can_be_cancelled():
 def test_max_events_mid_batch_reverse_tie_order():
     """Exhausting max_events halfway through a reversed batch must keep
     the unexecuted tail schedulable, and a later run() finishes it."""
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(tie_order="reverse", calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator(tie_order="reverse")
         seen = []
         for tag in ("a", "b", "c", "d", "e"):
             sim.schedule(1.0, seen.append, tag)
@@ -336,19 +337,14 @@ def test_max_events_mid_batch_preserves_cancelled_tail():
 
 
 # ----------------------------------------------------------------------
-# calendar selection and introspection
+# calendar introspection
 # ----------------------------------------------------------------------
 
-def test_calendar_property_and_default():
-    assert Simulator().calendar == "wheel"
-    assert Simulator(calendar="heap").calendar == "heap"
-
-
 def test_unknown_calendar_raises():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="calendar"):
-        Simulator(calendar="splay")
+    """The wheel is the only calendar: there is no parameter to pick one."""
+    for kind in ("wheel", "heap", "splay"):
+        with pytest.raises(TypeError, match="calendar"):
+            Simulator(calendar=kind)
 
 
 def test_repr_reports_live_pending_and_calendar():

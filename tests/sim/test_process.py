@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import SIMULATORS
 from repro.sim.process import PeriodicProcess
 
 
@@ -77,8 +78,8 @@ def test_ticks_reuse_one_event_handle():
 
 def test_periodic_ticks_identical_across_calendars():
     traces = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    for calendar, simulator in SIMULATORS.items():
+        sim = simulator()
         ticks = []
         PeriodicProcess(sim, 0.05, ticks.append)
         sim.run(until=1.0)

@@ -151,10 +151,3 @@ def test_head_priorities_are_actually_layered():
     sampler priority must differ from every model/controller priority."""
     assert PRIORITY_SAMPLER not in (0, PRIORITY_CONTROLLER)
     assert runner_mod.PRIORITY_SAMPLER == PRIORITY_SAMPLER
-
-
-def test_race_check_clean_on_heap_calendar():
-    """The tie-order contract must hold under both event calendars."""
-    report = run_race_check(_spec(), calendar="heap")
-    assert isinstance(report, RaceCheckReport)
-    assert report.tie_batches > 0
