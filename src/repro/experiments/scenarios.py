@@ -11,6 +11,7 @@ demands multiplied by it, so measured latencies are reported divided by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -25,6 +26,14 @@ __all__ = ["ScenarioConfig", "ARRIVAL_MODELS"]
 #: How requests enter the system: an open trace-driven arrival process,
 #: or a closed population of synchronous users (submit → wait → think).
 ARRIVAL_MODELS = ("open", "closed")
+
+#: Numeric fields that must be finite (``fine_interval`` only when set):
+#: NaN slips through every ordered comparison below, and an infinite
+#: duration or scale fails deep inside the run instead of here.
+_FINITE_FIELDS = (
+    "duration", "max_users", "load_scale", "prep_period", "sct_window",
+    "sct_tolerance", "warmup", "timeline_bin", "fine_interval",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +76,10 @@ class ScenarioConfig:
     timeline_bin: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.load_scale < 1.0:
             raise ConfigurationError(
                 f"load_scale must be >= 1, got {self.load_scale!r}"

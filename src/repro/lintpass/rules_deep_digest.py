@@ -26,7 +26,7 @@ import hashlib
 from typing import Iterator
 
 from repro.lintpass.base import Rule, Violation, register
-from repro.lintpass.project import ClassInfo, ProjectIndex, SourceFile
+from repro.lintpass.project import ClassInfo, ProjectIndex
 from repro.lintpass.rules_digest import (
     _DIGEST_METHODS,
     _passes_whole_self,

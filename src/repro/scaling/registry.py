@@ -43,7 +43,7 @@ qos baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.control.events import (

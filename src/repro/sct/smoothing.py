@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.errors import EstimationError
 from repro.sct.grouping import ConcurrencyBucket
@@ -30,7 +29,12 @@ def trend_line(
     Returns ``(q_grid, values)`` suitable for plotting next to the raw
     scatter. Buckets whose metric is NaN (e.g. RT buckets with no
     completions) are skipped.
+
+    scipy is imported here rather than at module top: no run draws a
+    trend line, so no run should pay for importing scipy.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if metric not in ("tp", "rt"):
         raise EstimationError(f"metric must be 'tp' or 'rt', got {metric!r}")
     pairs = []

@@ -191,8 +191,15 @@ def test_cli_removed_run_flags_are_usage_errors(capsys, flags):
         ["--faults", "dropout:all:10:inf"],
         ["--storyline", "az-outage:db:nan"],
         ["--param", "headroom=nan"],
+        ["--scale", "nan"],
+        ["--scale", "inf"],
+        ["--duration", "inf"],
+        ["--duration", "nan"],
     ],
-    ids=["slow-nan", "crash-1e400", "dropout-inf", "storyline-nan", "param-nan"],
+    ids=[
+        "slow-nan", "crash-1e400", "dropout-inf", "storyline-nan", "param-nan",
+        "scale-nan", "scale-inf", "duration-inf", "duration-nan",
+    ],
 )
 def test_cli_non_finite_inputs_exit_2(capsys, tmp_path, monkeypatch, flags):
     """NaN and infinite numbers are configuration errors, reported

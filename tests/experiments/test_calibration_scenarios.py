@@ -112,6 +112,19 @@ def test_scenario_validation():
         ScenarioConfig(duration=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "duration", "max_users", "load_scale", "prep_period", "sct_window",
+        "sct_tolerance", "warmup", "timeline_bin", "fine_interval",
+    ],
+)
+def test_scenario_rejects_non_finite(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
+
+
 def test_with_update():
     cfg = ScenarioConfig().with_(seed=9, trace_name="big_spike")
     assert cfg.seed == 9

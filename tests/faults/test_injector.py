@@ -3,7 +3,7 @@
 from repro.cloud.hypervisor import Hypervisor
 from repro.control.bus import ControlBus
 from repro.control.trace import DecisionTrace
-from repro.faults.injector import FaultInjector, apply_slowdown
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ClientTimeoutSpec,
     FaultPlan,
